@@ -280,7 +280,7 @@ func BenchmarkCensusParallel(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c := paths.NewCensusParallel(g, k, workers)
+				c := paths.NewCensusHybrid(g, k, paths.CensusOptions{Workers: workers})
 				if c.Total() == 0 {
 					b.Fatal("empty census")
 				}
@@ -458,13 +458,13 @@ func BenchmarkCensusEngines(b *testing.B) {
 	}
 }
 
-// BenchmarkCensusSkewedScaling measures worker scaling on the skewed-label
-// workload shared with the BENCH_*.json emitter (one Zipf label carries
-// most edges), the case where per-first-label parallelism load-imbalances
-// and the work-stealing scheduler should not.
+// BenchmarkCensusSkewedScaling measures worker scaling on a skewed-label
+// workload: an Erdős–Rényi topology whose labels follow Zipf s=1.8, so one
+// label carries most edges. That is the case where per-first-label
+// parallelism load-imbalances and the work-stealing scheduler should not.
 func BenchmarkCensusSkewedScaling(b *testing.B) {
-	g := experiments.SkewedScalingGraph()
-	const k = experiments.PerfBenchK
+	g := dataset.ErdosRenyi(600, 7000, dataset.NewZipfLabels(6, 1.8), 3).Freeze()
+	const k = 3
 	for _, workers := range []int{1, 2, 4, 0} {
 		name := fmt.Sprintf("workers=%d", workers)
 		if workers == 0 {
@@ -481,13 +481,19 @@ func BenchmarkCensusSkewedScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkExecEngines measures query execution on SNAP-FF — the same
-// workload the BENCH_exec.json emitter times: the retired dense executor
-// against the hybrid engine for both endpoint plans, plus the
-// hybrid-only interior zig-zag start.
+// BenchmarkExecEngines measures query execution on SNAP-FF: the retired
+// dense executor against the hybrid engine for both endpoint plans, plus
+// the hybrid-only interior zig-zag start.
 func BenchmarkExecEngines(b *testing.B) {
 	g := dataset.Generate(dataset.Table3()[3], 0.1, 1).Freeze() // SNAP-FF
-	queries := experiments.ExecBenchQueries
+	// Length-3 and length-4 queries mixing frequent (Zipf-head) and rare
+	// labels, so both sparse and dense row regimes appear mid-join.
+	queries := []paths.Path{
+		{0, 1, 2},
+		{1, 0, 0},
+		{2, 1, 0, 3},
+		{0, 0, 1, 2},
+	}
 	b.Run("legacy-dense/forward", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range queries {

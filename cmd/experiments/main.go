@@ -6,22 +6,15 @@
 //
 // Usage:
 //
-//	experiments [-exp all|tables12|figure1|table3|table4|figure2|ablation|bounds]
-//	            [-scale 0.04] [-seed 1] [-full] [-csv DIR] [-workers N]
+//	experiments [-exp all|tables12|figure1|table3|table4|figure2|ablation|bounds|workload]
+//	            [-scale 0.04] [-seed 1] [-full] [-csv DIR] [-cpuprofile FILE]
 //
 // With -csv, each experiment additionally writes a machine-readable CSV
-// file (table4.csv, figure2.csv, …) into DIR for plotting.
+// file (table4.csv, figure2.csv, …) into DIR for plotting. -cpuprofile
+// FILE wraps the run in a CPU profile for regression triage.
 //
-// The -bench-json, -bench-exec-json, -bench-par-exec-json,
-// -bench-bushy-json, -bench-cache-json, -bench-serve-json,
-// -bench-scaling-json, and -bench-rpq-json flags instead emit the
-// committed BENCH_*.json perf
-// artifacts (schema in docs/benchmarks.md) and exit; -workers N
-// overrides the worker count of every bench emitter (default GOMAXPROCS,
-// resolved when the bench runs; the serve bench ignores it — its rows
-// are keyed by request concurrency instead). -cpuprofile FILE wraps
-// whatever runs — bench emitters or experiments — in a CPU profile for
-// regression triage (the CI scaling leg uploads these as artifacts).
+// Performance figures come from the repository benchmark
+// (benchmark/README.md).
 package main
 
 import (
@@ -42,20 +35,6 @@ func main() {
 	csvDir := flag.String("csv", "", "directory to write CSV result files into (created if missing)")
 	ds := flag.String("dataset", "", "restrict figure2/table3 to one Table 3 dataset name")
 	maxK := flag.Int("maxk", 0, "cap the accuracy sweep's path length bound (0 = configuration default)")
-	benchJSON := flag.String("bench-json", "", "run the full census/compose/exec perf bench and write a BENCH JSON report to this file, then exit")
-	benchExecJSON := flag.String("bench-exec-json", "", "run only the query-execution perf bench and write a BENCH JSON report to this file, then exit")
-	benchParExecJSON := flag.String("bench-par-exec-json", "", "run only the parallel-executor scaling bench and write a BENCH JSON report to this file, then exit")
-	benchBushyJSON := flag.String("bench-bushy-json", "", "run only the bushy-plan/join-kernel perf bench and write a BENCH JSON report to this file, then exit")
-	benchCacheJSON := flag.String("bench-cache-json", "", "run only the segment-relation cache workload bench (cold vs warm) and write a BENCH JSON report to this file, then exit")
-	benchServeJSON := flag.String("bench-serve-json", "", "run only the serving-layer load bench (cold vs warm Zipf passes over HTTP) and write a BENCH JSON report to this file, then exit")
-	benchScalingJSON := flag.String("bench-scaling-json", "", "run the cross-layer worker-scaling bench (exec, batch cache, serving ladders at workers 1/2/4) and write a BENCH JSON report to this file, then exit")
-	benchRPQJSON := flag.String("bench-rpq-json", "", "run only the regular-path-query bench (cold vs warm compiled workload, estimate quality vs the enumerated oracle) and write a BENCH JSON report to this file, then exit")
-	benchOverloadJSON := flag.String("bench-overload-json", "", "run only the overload-resilience bench (controlled vs uncontrolled bursty overdrive legs) and write a BENCH JSON report to this file, then exit")
-	benchIters := flag.Int("bench-iters", 3, "iterations per perf-bench measurement")
-	// Default 0, not a captured GOMAXPROCS: the count resolves through
-	// sched.WorkerCount when the bench runs, so a GOMAXPROCS change after
-	// process start (container managers do this) is honored.
-	workers := flag.Int("workers", 0, "worker-goroutine override for all bench emitters (pathsel.Config.Workers semantics: ≤ 0 means GOMAXPROCS)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
 
@@ -79,64 +58,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		pprof.StopCPUProfile()
 		os.Exit(1)
-	}
-
-	for _, b := range []struct {
-		path string
-		run  func() (*experiments.PerfReport, error)
-	}{
-		{*benchJSON, func() (*experiments.PerfReport, error) {
-			return experiments.RunPerfBench(*scale, *benchIters, *workers), nil
-		}},
-		{*benchExecJSON, func() (*experiments.PerfReport, error) {
-			return experiments.RunExecBench(*scale, *benchIters, *workers), nil
-		}},
-		{*benchParExecJSON, func() (*experiments.PerfReport, error) {
-			return experiments.RunParExecBench(*scale, *benchIters, *workers), nil
-		}},
-		{*benchBushyJSON, func() (*experiments.PerfReport, error) {
-			return experiments.RunBushyBench(*scale, *benchIters, *workers), nil
-		}},
-		{*benchCacheJSON, func() (*experiments.PerfReport, error) {
-			return experiments.RunCacheBench(*scale, *benchIters, *workers)
-		}},
-		{*benchServeJSON, func() (*experiments.PerfReport, error) {
-			return experiments.RunServeBench(*scale, *benchIters)
-		}},
-		{*benchScalingJSON, func() (*experiments.PerfReport, error) {
-			return experiments.RunScalingBench(*scale, *benchIters, *workers)
-		}},
-		{*benchRPQJSON, func() (*experiments.PerfReport, error) {
-			return experiments.RunRPQBench(*scale, *benchIters, *workers)
-		}},
-		{*benchOverloadJSON, func() (*experiments.PerfReport, error) {
-			return experiments.RunOverloadBench(*scale, *benchIters)
-		}},
-	} {
-		if b.path == "" {
-			continue
-		}
-		// Open the output before the (slow) measurement so a bad path
-		// fails fast.
-		f, err := os.Create(b.path)
-		if err == nil {
-			var rep *experiments.PerfReport
-			if rep, err = b.run(); err == nil {
-				err = rep.WriteJSON(f)
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			die(err)
-		}
-		fmt.Printf("wrote perf bench report to %s\n", b.path)
-	}
-	if *benchJSON != "" || *benchExecJSON != "" || *benchParExecJSON != "" ||
-		*benchBushyJSON != "" || *benchCacheJSON != "" || *benchServeJSON != "" ||
-		*benchScalingJSON != "" || *benchRPQJSON != "" || *benchOverloadJSON != "" {
-		return
 	}
 
 	opt := experiments.DefaultOptions()

@@ -25,7 +25,7 @@ func main() {
 		g.NumVertices(), g.NumEdges(), g.NumLabels())
 
 	const k = 3
-	census := paths.NewCensusParallel(g, k, 0)
+	census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
 	ph, _, err := core.BuildForGraph(g, ordering.MethodSumBased, core.BuilderVOptimal, k, 24)
 	if err != nil {
 		log.Fatal(err)

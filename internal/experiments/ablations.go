@@ -25,7 +25,7 @@ func BuilderAblation(opt Options) ([]AblationCell, error) {
 	}
 	g := dataset.Generate(dataset.Table3()[0], opt.Scale, opt.Seed).Freeze()
 	k := 3
-	census := paths.NewCensusParallel(g, k, 0)
+	census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
 	beta := int(census.Size() / 16)
 	if beta < 2 {
 		beta = 2
@@ -73,7 +73,7 @@ func ErrorProfiles(opt Options) ([]ProfileRow, error) {
 	}
 	g := dataset.Generate(dataset.Table3()[0], opt.Scale, opt.Seed).Freeze()
 	k := 3
-	census := paths.NewCensusParallel(g, k, 0)
+	census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
 	beta := int(census.Size() / 16)
 	if beta < 2 {
 		beta = 2
@@ -122,7 +122,7 @@ func OrderingBounds(opt Options) ([]BoundCell, error) {
 	}
 	g := dataset.Generate(dataset.Table3()[0], opt.Scale, opt.Seed).Freeze()
 	k := 3
-	census := paths.NewCensusParallel(g, k, 0)
+	census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
 
 	ords := make([]ordering.Ordering, 0, 8)
 	for _, method := range ordering.PaperMethods() {

@@ -11,8 +11,9 @@
 //
 // In the layer map (graph → bitset → paths → exec → pathsel) this is the
 // evaluation harness over the top: it drives every layer end to end
-// (censuses, histograms, planners, executors) and emits the committed
-// BENCH_*.json perf artifacts via RunPerfBench/RunExecBench.
+// (censuses, histograms, planners, executors) to reproduce the paper's
+// accuracy and timing results. Performance figures come from the
+// repository benchmark (benchmark/README.md).
 package experiments
 
 import (
@@ -154,7 +155,7 @@ func RunTable4(opt Options) (*Table4Result, error) {
 	}
 	spec := dataset.Table3()[0] // Moreno health
 	g := dataset.Generate(spec, opt.Scale, opt.Seed).Freeze()
-	census := paths.NewCensusParallel(g, opt.TimingK, 0)
+	census := paths.NewCensusHybrid(g, opt.TimingK, paths.CensusOptions{})
 
 	res := &Table4Result{
 		Dataset:    spec.Name,
@@ -231,7 +232,7 @@ func RunFigure2(opt Options) (*Figure2Result, error) {
 		}
 		g := dataset.Generate(spec, opt.Scale, opt.Seed).Freeze()
 		for _, k := range opt.AccuracyKs {
-			census := paths.NewCensusParallel(g, k, 0)
+			census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
 			for _, beta := range opt.betas(census.Size()) {
 				for _, method := range res.Methods {
 					ord, err := ordering.ForGraph(method, g, k)
@@ -276,7 +277,7 @@ func RunFigure1(opt Options) (*Figure1Result, error) {
 	spec := dataset.Table3()[0]
 	g := dataset.Generate(spec, opt.Scale, opt.Seed).Freeze()
 	k := 3
-	census := paths.NewCensusParallel(g, k, 0)
+	census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
 	ord, err := ordering.ForGraph(ordering.MethodNumAlph, g, k)
 	if err != nil {
 		return nil, err

@@ -94,7 +94,7 @@ func PlanQuality(opt Options) ([]PlanCell, error) {
 	g := dataset.Generate(dataset.Table3()[0], opt.Scale, opt.Seed).Freeze()
 	const censusK = 3          // statistics bound
 	const queryK = censusK + 1 // plan-search bound: segments stay ≤ censusK
-	census := paths.NewCensusParallel(g, censusK, 0)
+	census := paths.NewCensusHybrid(g, censusK, paths.CensusOptions{})
 	beta := int(census.Size() / 16)
 	if beta < 2 {
 		beta = 2

@@ -33,7 +33,7 @@ func WorkloadAccuracy(opt Options) ([]WorkloadCell, error) {
 	}
 	g := dataset.Generate(dataset.Table3()[0], opt.Scale, opt.Seed).Freeze()
 	k := 3
-	census := paths.NewCensusParallel(g, k, 0)
+	census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
 	beta := int(census.Size() / 16)
 	if beta < 2 {
 		beta = 2

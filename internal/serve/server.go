@@ -13,8 +13,7 @@
 // trace (internal/workload.ZipfTrace) at configurable concurrency and
 // arrival rate, recording latency percentiles, throughput, cache hit
 // rate, and degradation/timeout counts. cmd/pathserve and cmd/serveload
-// are thin flag wrappers; internal/experiments emits the committed
-// BENCH_serve.json from the same harness.
+// are thin flag wrappers.
 //
 // In the layer map (graph → bitset → paths → exec → pathsel → serve)
 // this package sits above the public facade and below cmd; it imports

@@ -78,10 +78,10 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestQueryHappyPathWarmCache pins the tentpole's serving contract: a
-// valid query answers 200 with the exact selectivity, and the second
-// identical request against the estimator-persistent cache reports
-// nonzero cache hits while returning the same result.
+// TestQueryHappyPathWarmCache pins the serving contract: a valid query
+// answers 200 with the exact selectivity, and the second identical
+// request against the estimator-persistent cache reports nonzero cache
+// hits and zero join work while returning the same result.
 func TestQueryHappyPathWarmCache(t *testing.T) {
 	g, _, ts := newTestServer(t, pathsel.Config{CacheBytes: pathsel.DefaultCacheBytes})
 	const q = "a/b/c"
@@ -107,6 +107,11 @@ func TestQueryHappyPathWarmCache(t *testing.T) {
 	}
 	if second.CacheHits == 0 {
 		t.Fatalf("second identical query reported no cache hits: %+v", second)
+	}
+	// The counter form of "warm beats cold": the cold query joined
+	// intermediate pairs, the warm one is answered whole from the cache.
+	if first.Work == 0 || second.Work != 0 {
+		t.Fatalf("work cold=%d warm=%d, want cold > 0 and warm == 0", first.Work, second.Work)
 	}
 	if second.Degraded {
 		t.Fatalf("cached query reported degraded: %+v", second)
